@@ -1,7 +1,10 @@
 //! Criterion benchmarks of the CSB microoperation primitives — the
-//! emulator-throughput counterpart of Table II.
+//! emulator-throughput counterpart of Table II. Each primitive is
+//! broadcast as a one-op program built outside the timed loop.
 
-use cape_csb::{ColSel, Csb, CsbGeometry, MicroOp, Probe, TagDest, TagMode, WriteSpec};
+use cape_csb::{
+    ColSel, Csb, CsbGeometry, MicroOp, MicroProgram, Probe, TagDest, TagMode, WriteSpec,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn csb(chains: usize) -> Csb {
@@ -16,23 +19,23 @@ fn bench_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("search");
     for chains in [16usize, 256, 1024] {
         let mut m = csb(chains);
-        let op = MicroOp::Search {
+        let op = MicroProgram::new(vec![MicroOp::Search {
             probes: vec![Probe::row(0, 1, true)],
             gates: vec![],
             dest: TagDest::Tags,
             mode: TagMode::Set,
-        };
+        }]);
         g.bench_with_input(BenchmarkId::new("bit_serial", chains), &chains, |b, _| {
-            b.iter(|| m.execute(&op))
+            b.iter(|| m.execute_program(&op))
         });
-        let bp = MicroOp::Search {
+        let bp = MicroProgram::new(vec![MicroOp::Search {
             probes: (0..32).map(|i| Probe::row(i, 1, true)).collect(),
             gates: vec![],
             dest: TagDest::Tags,
             mode: TagMode::Set,
-        };
+        }]);
         g.bench_with_input(BenchmarkId::new("bit_parallel", chains), &chains, |b, _| {
-            b.iter(|| m.execute(&bp))
+            b.iter(|| m.execute_program(&bp))
         });
     }
     g.finish();
@@ -42,7 +45,7 @@ fn bench_update_and_reduce(c: &mut Criterion) {
     let mut g = c.benchmark_group("update_reduce");
     for chains in [16usize, 1024] {
         let mut m = csb(chains);
-        let upd = MicroOp::Update {
+        let upd = MicroProgram::new(vec![MicroOp::Update {
             writes: vec![
                 WriteSpec {
                     subarray: 3,
@@ -57,13 +60,13 @@ fn bench_update_and_reduce(c: &mut Criterion) {
                     cols: ColSel::Tags(3),
                 },
             ],
-        };
+        }]);
         g.bench_with_input(BenchmarkId::new("update_prop", chains), &chains, |b, _| {
-            b.iter(|| m.execute(&upd))
+            b.iter(|| m.execute_program(&upd))
         });
-        let red = MicroOp::ReduceTags { subarray: 0 };
+        let red = MicroProgram::new(vec![MicroOp::ReduceTags { subarray: 0 }]);
         g.bench_with_input(BenchmarkId::new("reduce", chains), &chains, |b, _| {
-            b.iter(|| m.execute(&red))
+            b.iter(|| m.execute_program(&red))
         });
     }
     g.finish();

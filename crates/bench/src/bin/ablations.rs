@@ -13,9 +13,8 @@ use cape_bench::{quick_scale, section, Measurement};
 use cape_core::CapeConfig;
 use cape_csb::{Csb, CsbGeometry};
 use cape_ucode::metrics::paper_row;
-use cape_ucode::VectorOpKind;
-use cape_ucode::{Sequencer, VectorOp};
-use cape_vcu::Vcu;
+use cape_ucode::{VectorOp, VectorOpKind};
+use cape_vcu::{ProgramCache, Vcu};
 use cape_workloads::phoenix::{Matmul, WordCount};
 
 fn main() {
@@ -124,12 +123,13 @@ fn main() {
         ),
         ("vredsum.vs", VectorOp::RedSum { vd: 3, vs: 1 }),
     ] {
-        let uops = |w: usize| {
+        let uops = |w: u32| {
             let mut csb = Csb::new(CsbGeometry::new(1));
             csb.write_vector(1, &[1, 2, 3]);
             csb.write_vector(2, &[4, 5, 6]);
-            Sequencer::with_width(&mut csb, w)
-                .execute(&op)
+            Vcu::new(1)
+                .execute(&mut csb, &op, w, &mut ProgramCache::default())
+                .expect("ablation ops are well-formed")
                 .stats
                 .total()
         };

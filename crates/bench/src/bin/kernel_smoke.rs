@@ -4,8 +4,9 @@
 //! 1. **Differential:** representative vector ops (bit-serial adder,
 //!    signed compare, reduction, scalar compare) run through the
 //!    block-backed [`Csb`] and through scalar reference [`Chain`]s
-//!    seeded with identical state, on full and partial windows; every
-//!    reduction sum and every chain's final state must be bit-exact.
+//!    ([`reference_sweep`]) seeded with identical state, on full and
+//!    partial windows; every reduction sum and every chain's final state
+//!    must be bit-exact.
 //! 2. **Ratio:** a whole `vadd.vv` program through the block path must
 //!    be no slower than the scalar chain-at-a-time broadcast sweep it
 //!    replaced, with a generous 1.2× noise margin.
@@ -14,7 +15,7 @@
 
 use std::time::Instant;
 
-use cape_csb::{Chain, Csb, CsbGeometry, MicroOp, MicroProgram};
+use cape_csb::{reference_sweep, Chain, Csb, CsbGeometry};
 use cape_ucode::{CompiledOp, VectorOp};
 
 const CHAINS: usize = 1024;
@@ -37,26 +38,6 @@ fn seeded_csb() -> Csb {
     csb
 }
 
-/// The scalar chain-at-a-time broadcast sweep the block kernels replaced:
-/// op-by-op over every non-gated chain, collecting `ReduceTags` sums.
-fn scalar_sweep(chains: &mut [Chain], windows: &[u32], program: &MicroProgram) -> Vec<u64> {
-    let mut sums = vec![0u64; program.reduce_count()];
-    for (chain, &window) in chains.iter_mut().zip(windows) {
-        if window == 0 {
-            continue;
-        }
-        let mut k = 0;
-        for op in program.ops() {
-            let r = chain.execute(op, window);
-            if matches!(op, MicroOp::ReduceTags { .. }) {
-                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
-                k += 1;
-            }
-        }
-    }
-    sums
-}
-
 fn differential(op: &VectorOp, vstart: usize, vl: usize) {
     let mut csb = seeded_csb();
     csb.set_active_window(vstart, vl);
@@ -65,7 +46,7 @@ fn differential(op: &VectorOp, vstart: usize, vl: usize) {
 
     let compiled = CompiledOp::compile(op, 32);
     let block_sums = csb.execute_program(compiled.program());
-    let ref_sums = scalar_sweep(&mut reference, &windows, compiled.program());
+    let ref_sums = reference_sweep(&mut reference, &windows, compiled.program().ops());
 
     let ctx = format!("{op:?} window={vstart}..{vl}");
     assert_eq!(block_sums, ref_sums, "reduction sums diverged: {ctx}");
@@ -121,7 +102,7 @@ fn main() {
     let mut scalar_best = u128::MAX;
     for _ in 0..iters {
         let t = Instant::now();
-        scalar_sweep(&mut reference, &windows, compiled.program());
+        reference_sweep(&mut reference, &windows, compiled.program().ops());
         scalar_best = scalar_best.min(t.elapsed().as_nanos());
     }
 

@@ -167,7 +167,7 @@ pub mod fusion {
 
     /// FNV-1a digest of the kernel's output region.
     pub fn digest(mem: &MainMemory, max_vl: usize) -> u64 {
-        super::fnv1a_words(mem.read_u32_slice(OUT, max_vl + 1))
+        cape_isa::fnv1a_words(mem.read_u32_slice(OUT, max_vl + 1))
     }
 
     /// Mixed-SEW variant of [`phoenix_loop`]: the first four pattern
@@ -244,18 +244,6 @@ pub mod fusion {
         p.halt();
         p.build().expect("mixed-SEW fusion kernel builds")
     }
-}
-
-/// FNV-1a digest over a word sequence.
-pub fn fnv1a_words(words: impl IntoIterator<Item = u32>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 /// Geometric mean of a non-empty slice.

@@ -4,14 +4,13 @@ use cape_cp::{
     ControlProcessor, Coprocessor, CpError, DrainReason, SliceOutcome, VectorCommit, VectorFault,
 };
 use cape_csb::{
-    Csb, CsbSnapshot, FaultConfig, FaultKind, FaultStats, MicroOpStats, RemapOutcome, ScrubReport,
+    Csb, CsbSnapshot, FaultConfig, FaultKind, FaultStats, MicroOp, MicroOpStats, MicroProgram,
+    RemapOutcome, ScrubReport,
 };
 use cape_isa::{Instr, Program, Sew, VAluOp};
 use cape_mem::{Hbm, MainMemory};
-use cape_ucode::{
-    fuse_window, window_fingerprint, CompiledOp, LogicOp, PostProcess, Sequencer, VectorOp,
-};
-use cape_vcu::{ProgramCache, Vcu};
+use cape_ucode::{fuse_window, CompiledOp, LogicOp, PostProcess, Sequencer, VectorOp};
+use cape_vcu::{window_fingerprint, ProgramCache, Vcu};
 use cape_vmu::Vmu;
 
 use crate::config::CapeConfig;
@@ -708,7 +707,7 @@ impl CapeMachine {
         self.flush_window_as(FlushReason::ScalarResult);
         let r = self
             .vcu
-            .try_execute_sew_cached(&mut self.csb, op, self.sew.bits(), &mut self.program_cache)
+            .execute(&mut self.csb, op, self.sew.bits(), &mut self.program_cache)
             .map_err(|e| VectorFault::Rejected {
                 detail: e.to_string(),
             })?;
@@ -986,12 +985,14 @@ impl CapeMachine {
                 // Scalar read of a vector result: the fusion barrier.
                 self.flush_window_as(FlushReason::ScalarResult);
                 // A single-element read: one read microop through the
-                // element path, plus command distribution.
+                // element path (a one-op broadcast, so the fault layer
+                // sees it like any other), plus command distribution.
                 let value = self.csb.read_element(vs.index(), 0);
-                self.csb.execute(&cape_csb::MicroOp::Read {
-                    subarray: 0,
-                    row: vs.index(),
-                });
+                self.csb
+                    .execute_program(&MicroProgram::new(vec![MicroOp::Read {
+                        subarray: 0,
+                        row: vs.index(),
+                    }]));
                 VectorCommit {
                     cycles: self.vcu.cmd_dist_cycles() + 2,
                     rd_value: Some(i64::from(value)),

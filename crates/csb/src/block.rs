@@ -643,6 +643,7 @@ fn distinct_subarrays(writes: &[PlanWrite]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::reference_sweep;
     use crate::microop::{ColSel, MicroOp, Probe, WriteSpec};
     use crate::program::MicroProgram;
 
@@ -793,20 +794,7 @@ mod tests {
             "legit execution broke parity (seed {seed})"
         );
 
-        let mut ref_sums = vec![0u64; program.reduce_count()];
-        for (lane, chain) in chains.iter_mut().enumerate() {
-            if win[lane] == 0 {
-                continue; // power-gated
-            }
-            let mut k = 0;
-            for op in program.ops() {
-                let r = chain.execute(op, win[lane]);
-                if matches!(op, MicroOp::ReduceTags { .. }) {
-                    ref_sums[k] += u64::from(r.unwrap());
-                    k += 1;
-                }
-            }
-        }
+        let ref_sums = reference_sweep(&mut chains, &win, program.ops());
 
         assert_eq!(block_sums, ref_sums, "reduction sums (seed {seed})");
         for (lane, chain) in chains.iter().enumerate() {

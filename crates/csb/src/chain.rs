@@ -168,8 +168,8 @@ impl Chain {
     /// Panics if an update writes more than one row in the same subarray
     /// (the hardware writes at most one row per subarray per update) or if
     /// a search probes more than 4 rows of one subarray.
-    pub fn execute(&mut self, op: &MicroOp, window: u32) -> Option<u32> {
-        match op {
+    pub fn execute(&mut self, microop: &MicroOp, window: u32) -> Option<u32> {
+        match microop {
             MicroOp::Search {
                 probes,
                 gates,
@@ -238,13 +238,14 @@ impl Chain {
 
     /// Structural validation of the one-row-per-subarray update rule. The
     /// broadcast path validates once per program at plan lowering
-    /// ([`crate::program::lower`]); this debug-only re-check guards the
-    /// reference model's direct-execute path without taxing release runs.
+    /// ([`crate::program::lower`]); the reference model checks every
+    /// update it executes, in every build profile, so the oracle can
+    /// never accept an op the broadcast path would reject.
     fn check_one_row_per_subarray(&self, writes: &[WriteSpec]) {
         let mut seen = 0u32;
         for w in writes {
             let bit = 1u32 << w.subarray;
-            debug_assert!(
+            assert!(
                 seen & bit == 0,
                 "update writes two rows of subarray {}",
                 w.subarray
@@ -325,6 +326,40 @@ impl Chain {
     pub fn probe(subarray: usize, row: usize, want: bool) -> Probe {
         Probe::row(subarray, row, want)
     }
+}
+
+/// Broadcasts `ops` over scalar reference chains — the oracle every
+/// broadcast path is differentially tested against.
+///
+/// Runs chain by chain, op by op, through [`Chain::execute`] under
+/// `windows[c]` (the column mask chain `c` holds), skips power-gated
+/// chains (window 0) entirely, and returns one summed popcount per
+/// [`MicroOp::ReduceTags`], in op order — exactly what
+/// [`Csb::execute_program`](crate::Csb::execute_program) returns for
+/// the same ops on the same state.
+///
+/// # Panics
+///
+/// Panics if `chains` and `windows` differ in length, or on an op
+/// [`Chain::execute`] rejects.
+pub fn reference_sweep(chains: &mut [Chain], windows: &[u32], ops: &[MicroOp]) -> Vec<u64> {
+    assert_eq!(chains.len(), windows.len(), "one window per chain");
+    let is_reduce = |op: &MicroOp| matches!(op, MicroOp::ReduceTags { .. });
+    let mut sums = vec![0u64; ops.iter().filter(|op| is_reduce(op)).count()];
+    for (chain, &window) in chains.iter_mut().zip(windows) {
+        if window == 0 {
+            continue; // power-gated chain: never executes anything
+        }
+        let mut k = 0;
+        for op in ops {
+            let r = chain.execute(op, window);
+            if is_reduce(op) {
+                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
+                k += 1;
+            }
+        }
+    }
+    sums
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! The full Compute-Storage Block: chains + reduction tree + accounting.
 
-use std::slice;
 use std::sync::Arc;
 
 use crate::block::BLOCK_LANES;
@@ -11,7 +10,7 @@ use crate::fault::{
 use crate::geometry::{CsbGeometry, ElementLocation, SUBARRAY_COLS};
 use crate::microop::MicroOp;
 use crate::pool::{Shard, WorkerPool};
-use crate::program::{lower, MicroProgram};
+use crate::program::MicroProgram;
 use crate::reduction::ReductionTree;
 use crate::stats::MicroOpStats;
 
@@ -61,8 +60,9 @@ const POOL_MIN_ACTIVE: usize = 512;
 /// module), so every microop runs as a vectorized sweep over a block. A
 /// broadcast of a whole [`MicroProgram`] ([`Csb::execute_program`]) moves
 /// each shard to a persistent worker, runs every microop chain-locally,
-/// and joins exactly once to harvest per-shard reduction sums; single
-/// microops ([`Csb::execute`]) take the same path with a one-op program.
+/// and joins exactly once to harvest per-shard reduction sums. It is the
+/// only way microops reach the chains: a single microop is a one-op
+/// program.
 #[derive(Debug, Clone)]
 pub struct Csb {
     geometry: CsbGeometry,
@@ -193,48 +193,16 @@ impl Csb {
         self.threads > 1 && self.active_count >= POOL_MIN_ACTIVE
     }
 
-    /// Executes one broadcast microop on every active chain and records it
-    /// in the statistics. Returns the summed reduction popcount for
-    /// [`MicroOp::ReduceTags`], `None` otherwise (per-chain read data is
-    /// accessible through [`Csb::chain_row`]).
+    /// Executes a whole compiled [`MicroProgram`] as one broadcast unit —
+    /// the CSB's only broadcast path. Every shard runs every microop
+    /// locally (skipping its power-gated chains), and the single join
+    /// harvests one summed popcount per [`MicroOp::ReduceTags`] sync
+    /// point, returned in program order. Per-chain read data is
+    /// accessible through [`Csb::chain_row`].
     ///
-    /// This is the per-microop path; whole instructions go through
-    /// [`Csb::execute_program`], which pays the pool fan-out once per
-    /// program instead of once per microop.
-    pub fn execute(&mut self, op: &MicroOp) -> Option<u64> {
-        self.record(op);
-        if let Some(f) = self.fault.as_deref_mut() {
-            f.pre_broadcast(&mut self.shards);
-        }
-        let plan_op = lower(op);
-        if self.use_pool() {
-            let ops = Arc::new(vec![plan_op]);
-            self.pool.run(&mut self.shards, &ops);
-        } else {
-            for shard in &mut self.shards {
-                shard.run(slice::from_ref(&plan_op));
-            }
-        }
-        let sum = matches!(op, MicroOp::ReduceTags { .. }).then(|| {
-            self.shards
-                .iter()
-                .map(|s| s.sums.first().copied().unwrap_or(0))
-                .sum()
-        });
-        if let Some(f) = self.fault.as_deref_mut() {
-            f.post_broadcast(&mut self.shards, slice::from_ref(op));
-        }
-        sum
-    }
-
-    /// Executes a whole compiled [`MicroProgram`] as one broadcast unit:
-    /// every shard runs every microop locally (skipping its power-gated
-    /// chains), and the single join harvests one summed popcount per
-    /// [`MicroOp::ReduceTags`] sync point, returned in program order.
-    ///
-    /// Functionally identical to calling [`Csb::execute`] per microop and
-    /// collecting the `Some` results — but the thread fan-out/fan-in and
-    /// the reduction-tree sum happen once per program.
+    /// Every microop is recorded in the statistics, and the result is
+    /// bit-identical to sweeping the ops over scalar reference chains
+    /// ([`reference_sweep`](crate::reference_sweep)).
     pub fn execute_program(&mut self, program: &MicroProgram) -> Vec<u64> {
         for op in program.ops() {
             self.record(op);
@@ -666,10 +634,16 @@ impl Csb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::reference_sweep;
     use crate::microop::{ColSel, Probe, TagDest, TagMode, WriteSpec};
 
     fn small() -> Csb {
         Csb::new(CsbGeometry::new(4))
+    }
+
+    /// Broadcasts `ops` as one program, returning its reduction sums.
+    fn run(csb: &mut Csb, ops: Vec<MicroOp>) -> Vec<u64> {
+        csb.execute_program(&MicroProgram::new(ops))
     }
 
     fn search1(subarray: usize, row: usize, want: bool) -> MicroOp {
@@ -728,9 +702,11 @@ mod tests {
         let data: Vec<u32> = (0..16).map(|i| i as u32).collect();
         csb.write_vector(1, &data);
         csb.set_active_window(0, 16);
-        csb.execute(&search1(0, 1, true));
-        let total = csb.execute(&MicroOp::ReduceTags { subarray: 0 }).unwrap();
-        assert_eq!(total, 8); // 8 odd values in 0..16
+        let sums = run(
+            &mut csb,
+            vec![search1(0, 1, true), MicroOp::ReduceTags { subarray: 0 }],
+        );
+        assert_eq!(sums, vec![8]); // 8 odd values in 0..16
     }
 
     #[test]
@@ -739,9 +715,11 @@ mod tests {
         let data: Vec<u32> = vec![1; 16];
         csb.write_vector(2, &data);
         csb.set_active_window(0, 5);
-        csb.execute(&search1(0, 2, true));
-        let total = csb.execute(&MicroOp::ReduceTags { subarray: 0 }).unwrap();
-        assert_eq!(total, 5);
+        let sums = run(
+            &mut csb,
+            vec![search1(0, 2, true), MicroOp::ReduceTags { subarray: 0 }],
+        );
+        assert_eq!(sums, vec![5]);
     }
 
     #[test]
@@ -750,14 +728,17 @@ mod tests {
         csb.write_vector(3, &[7u32; 8]);
         csb.set_active_window(0, 4);
         // Bulk-clear bit 0 of v3 inside the window.
-        csb.execute(&MicroOp::Update {
-            writes: vec![WriteSpec {
-                subarray: 0,
-                row: 3,
-                value: false,
-                cols: ColSel::Window,
+        run(
+            &mut csb,
+            vec![MicroOp::Update {
+                writes: vec![WriteSpec {
+                    subarray: 0,
+                    row: 3,
+                    value: false,
+                    cols: ColSel::Window,
+                }],
             }],
-        });
+        );
         let out = csb.read_vector(3, 8);
         assert_eq!(&out[..4], &[6, 6, 6, 6]);
         assert_eq!(&out[4..], &[7, 7, 7, 7]); // tail untouched
@@ -780,18 +761,21 @@ mod tests {
         let mut csb = small();
         csb.write_vector(1, &[1u32; 128]);
         csb.set_active_window(0, 128);
-        csb.execute(&search1(0, 0, true));
+        run(&mut csb, vec![search1(0, 0, true)]);
         let before: Vec<Chain> = (0..4).map(|c| csb.chain(c)).collect();
 
         // Shrink the window so chains 2 and 3 are fully gated, then run
         // an op that would visibly mutate them (unconditional row set).
         csb.set_active_window(0, 2);
-        csb.execute(&MicroOp::Write {
-            subarray: 0,
-            row: 9,
-            data: u32::MAX,
-            mask: u32::MAX,
-        });
+        run(
+            &mut csb,
+            vec![MicroOp::Write {
+                subarray: 0,
+                row: 9,
+                data: u32::MAX,
+                mask: u32::MAX,
+            }],
+        );
         for (c, want) in before.iter().enumerate().skip(2) {
             assert_eq!(&csb.chain(c), want, "gated chain {c} must not change");
         }
@@ -801,16 +785,21 @@ mod tests {
     #[test]
     fn stats_classify_ops() {
         let mut csb = small();
-        csb.execute(&search1(0, 0, true));
-        csb.execute(&MicroOp::Update {
-            writes: vec![WriteSpec {
-                subarray: 1,
-                row: 0,
-                value: true,
-                cols: ColSel::Tags(0),
-            }],
-        });
-        csb.execute(&MicroOp::ReduceTags { subarray: 0 });
+        run(
+            &mut csb,
+            vec![
+                search1(0, 0, true),
+                MicroOp::Update {
+                    writes: vec![WriteSpec {
+                        subarray: 1,
+                        row: 0,
+                        value: true,
+                        cols: ColSel::Tags(0),
+                    }],
+                },
+                MicroOp::ReduceTags { subarray: 0 },
+            ],
+        );
         let s = csb.stats();
         assert_eq!(s.searches_bs, 1);
         assert_eq!(s.updates_prop, 1);
@@ -821,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_program_matches_per_op_path() {
+    fn execute_program_matches_chain_reference() {
         let ops = vec![
             search1(0, 1, true),
             MicroOp::ReduceTags { subarray: 0 },
@@ -841,22 +830,20 @@ mod tests {
             MicroOp::ReduceTags { subarray: 1 },
         ];
         let data: Vec<u32> = (0..128).map(|i| i as u32).collect();
+        let mut csb = small();
+        csb.write_vector(1, &data);
+        csb.set_active_window(3, 77);
+        let mut reference: Vec<Chain> = (0..4).map(|c| csb.chain(c)).collect();
+        let windows: Vec<u32> = (0..4).map(|c| csb.window(c)).collect();
 
-        let mut by_program = small();
-        let mut per_op = small();
-        for csb in [&mut by_program, &mut per_op] {
-            csb.write_vector(1, &data);
-            csb.set_active_window(3, 77);
+        let program = MicroProgram::new(ops.clone());
+        let sums = csb.execute_program(&program);
+
+        assert_eq!(sums, reference_sweep(&mut reference, &windows, &ops));
+        for (c, want) in reference.iter().enumerate() {
+            assert_eq!(&csb.chain(c), want, "chain {c}");
         }
-
-        let program_sums = by_program.execute_program(&MicroProgram::new(ops.clone()));
-        let per_op_sums: Vec<u64> = ops.iter().filter_map(|op| per_op.execute(op)).collect();
-
-        assert_eq!(program_sums, per_op_sums);
-        for c in 0..4 {
-            assert_eq!(by_program.chain(c), per_op.chain(c), "chain {c}");
-        }
-        assert_eq!(by_program.stats(), per_op.stats());
+        assert_eq!(csb.stats(), program.stats());
     }
 
     #[test]
@@ -880,17 +867,24 @@ mod tests {
         csb.write_vector(1, &data);
         csb.set_active_window(0, 600);
         assert!(csb.idle_chains() > 0);
+        let mut reference: Vec<Chain> = (0..1024).map(|c| csb.chain(c)).collect();
+        let windows: Vec<u32> = (0..1024).map(|c| csb.window(c)).collect();
 
-        let sums = csb.execute_program(&MicroProgram::new(vec![
+        let ops = vec![
             search1(0, 1, true),
             MicroOp::ReduceTags { subarray: 0 },
-        ]));
-        assert_eq!(sums, vec![300]); // odd values in 0..600
+            search1(1, 1, true),
+            MicroOp::ReduceTags { subarray: 1 },
+        ];
+        let sums = csb.execute_program(&MicroProgram::new(ops.clone()));
+        // Odd values in 0..600, then values in 0..600 with bit 1 set.
+        assert_eq!(sums, vec![300, 300]);
 
-        // Per-microop path on the same machine state agrees.
-        csb.execute(&search1(1, 1, true));
-        let evens_with_bit1 = csb.execute(&MicroOp::ReduceTags { subarray: 1 }).unwrap();
-        assert_eq!(evens_with_bit1, 300); // values in 0..600 with bit 1 set
+        // The scalar reference chains agree on sums and final state.
+        assert_eq!(reference_sweep(&mut reference, &windows, &ops), sums);
+        for (c, want) in reference.iter().enumerate() {
+            assert_eq!(&csb.chain(c), want, "chain {c}");
+        }
     }
 
     #[test]
@@ -985,7 +979,7 @@ mod tests {
             },
         );
         // The pre-broadcast scan of the next program latches the block.
-        csb.execute(&search1(0, 1, true));
+        run(&mut csb, vec![search1(0, 1, true)]);
         assert_eq!(csb.pending_faults(), 1);
         let stats = csb.fault_stats();
         assert_eq!(stats.detected_parity, 1);
@@ -1034,7 +1028,7 @@ mod tests {
         assert_eq!(csb.read_vector(5, 128), clean);
         assert_eq!(csb.pending_faults(), 0);
         // And the machine still computes correctly on the spare.
-        csb.execute(&search1(0, 0, true));
+        run(&mut csb, vec![search1(0, 0, true)]);
         let stats = csb.fault_stats();
         assert_eq!(stats.blocks_remapped, 1);
         assert!(stats.fully_accounted());
@@ -1059,7 +1053,7 @@ mod tests {
         assert!(!outcome.fully_recovered());
         // The corruption is never silently re-absorbed: the block stays
         // pending across scrubs and broadcasts.
-        csb.execute(&search1(0, 0, true));
+        run(&mut csb, vec![search1(0, 0, true)]);
         assert_eq!(csb.pending_faults(), 1);
     }
 
@@ -1087,7 +1081,7 @@ mod tests {
                 },
             );
         }
-        csb.execute(&search1(0, 1, true));
+        run(&mut csb, vec![search1(0, 1, true)]);
         let stats = csb.fault_stats();
         assert_eq!(stats.detected_golden, 1, "{stats:?}");
         assert!(stats.fully_accounted(), "{stats:?}");
@@ -1109,9 +1103,11 @@ mod tests {
         let snap = CsbSnapshot::zeroed(csb.geometry());
         csb.restore_registers(&snap);
         csb.write_vector(1, &(0..640).map(|i| i as u32).collect::<Vec<_>>());
-        csb.execute(&search1(0, 1, true));
-        let total = csb.execute(&MicroOp::ReduceTags { subarray: 0 }).unwrap();
-        assert_eq!(total, 320); // odd values in 0..640
+        let sums = run(
+            &mut csb,
+            vec![search1(0, 1, true), MicroOp::ReduceTags { subarray: 0 }],
+        );
+        assert_eq!(sums, vec![320]); // odd values in 0..640
     }
 
     #[test]

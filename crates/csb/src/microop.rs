@@ -194,8 +194,8 @@ impl MicroOp {
 
     /// The statistics bucket this op is charged to, plus its
     /// bit-parallel flavour — the one classification shared by the CSB's
-    /// live ledger ([`Csb::execute`](crate::Csb::execute) recording) and
-    /// the static mirror
+    /// live ledger ([`Csb::execute_program`](crate::Csb::execute_program)
+    /// recording) and the static mirror
     /// ([`MicroProgram::stats`](crate::MicroProgram::stats)). Keeping a
     /// single source of truth is what lets a fusion window charge an
     /// instruction's modeled time and energy at issue while deferring its

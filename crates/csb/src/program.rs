@@ -1221,15 +1221,17 @@ mod tests {
 /// Satellite property test: the whole fusion pipeline — `fuse_steps`
 /// across seams plus the cross-op peephole passes — is
 /// semantics-preserving on *arbitrary* generated op sequences, not just
-/// the shapes today's instruction lowerings emit. Three executions of
-/// the same ops on identically seeded CSBs must agree bit for bit in
-/// final register-file state, reduction sums, and recorded stats:
-/// per-microop, one concatenated program, and a fused window split at
-/// arbitrary instruction boundaries.
+/// the shapes today's instruction lowerings emit. Every broadcast of the
+/// same ops on identically seeded CSBs — one concatenated program, and
+/// fused windows split at arbitrary instruction boundaries — must match
+/// the scalar [`Chain`](crate::Chain) reference bit for bit in final
+/// chain state and reduction sums, and record exactly the program's
+/// static stats.
 #[cfg(test)]
 mod window_properties {
     use super::*;
-    use crate::csb::{Csb, CsbSnapshot};
+    use crate::chain::{reference_sweep, Chain};
+    use crate::csb::Csb;
     use crate::geometry::CsbGeometry;
     use crate::microop::ColSel;
     use proptest::prelude::*;
@@ -1342,23 +1344,23 @@ mod window_properties {
         ]
     }
 
-    type Outcome = (CsbSnapshot, Vec<u64>, MicroOpStats);
+    type Outcome = (Vec<Chain>, Vec<u64>, MicroOpStats);
 
-    fn run_per_op(ops: &[MicroOp], vstart: usize, vl: usize) -> Outcome {
-        let mut csb = seeded_csb(vstart, vl);
-        let mut sums = Vec::new();
-        for op in ops {
-            if let Some(s) = csb.execute(op) {
-                sums.push(s);
-            }
-        }
-        (csb.save_registers(), sums, csb.stats())
+    /// The oracle: `ops` swept over the seeded CSB's scalar chains, and
+    /// the stats ledger any broadcast of them must record.
+    fn run_reference(ops: &[MicroOp], vstart: usize, vl: usize) -> Outcome {
+        let csb = seeded_csb(vstart, vl);
+        let mut chains: Vec<Chain> = (0..CHAINS).map(|c| csb.chain(c)).collect();
+        let windows: Vec<u32> = (0..CHAINS).map(|c| csb.window(c)).collect();
+        let sums = reference_sweep(&mut chains, &windows, ops);
+        (chains, sums, MicroProgram::new(ops.to_vec()).stats())
     }
 
     fn run_program(prog: &MicroProgram, vstart: usize, vl: usize) -> Outcome {
         let mut csb = seeded_csb(vstart, vl);
         let sums = csb.execute_program(prog);
-        (csb.save_registers(), sums, csb.stats())
+        let chains = (0..CHAINS).map(|c| csb.chain(c)).collect();
+        (chains, sums, csb.stats())
     }
 
     proptest! {
@@ -1370,7 +1372,7 @@ mod window_properties {
             vstart_raw in 0usize..1024,
             vl_raw in 0usize..1024,
         ) {
-            let baseline = run_per_op(&ops, vstart_raw, vl_raw);
+            let baseline = run_reference(&ops, vstart_raw, vl_raw);
 
             let whole = MicroProgram::new(ops.clone());
             let as_program = run_program(&whole, vstart_raw, vl_raw);

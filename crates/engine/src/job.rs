@@ -3,7 +3,7 @@
 use std::hash::{Hash, Hasher};
 
 use cape_core::RunReport;
-use cape_isa::Program;
+use cape_isa::{Fnv1a, Program};
 use cape_mem::MainMemory;
 use serde::{Deserialize, Serialize};
 
@@ -104,30 +104,6 @@ pub fn fingerprint(program: &Program) -> u64 {
         instr.hash(&mut h);
     }
     h.finish()
-}
-
-/// Minimal FNV-1a 64-bit [`Hasher`], so `fingerprint` is stable and
-/// dependency-free (the std `DefaultHasher` is explicitly unspecified
-/// across releases).
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
 }
 
 /// Why a job failed, typed so a caller can tell a program bug

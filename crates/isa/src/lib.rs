@@ -33,12 +33,14 @@
 
 mod asm;
 mod encode;
+mod fnv;
 mod instr;
 mod program;
 mod reg;
 
 pub use asm::{assemble, AsmError};
 pub use encode::{DecodeError, EncodeError};
+pub use fnv::{fnv1a_words, Fnv1a};
 pub use instr::{AluOp, BranchCond, Instr, Sew, VAluOp};
 pub use program::{Program, ProgramBuilder, ProgramError};
 pub use reg::{Reg, VReg};

@@ -1,6 +1,8 @@
 //! The CSB as content-addressable key-value storage.
 
-use cape_csb::{Csb, CsbGeometry, MicroOp, Probe, TagDest, TagMode, SUBARRAYS_PER_CHAIN};
+use cape_csb::{Csb, CsbGeometry, SUBARRAYS_PER_CHAIN};
+
+use crate::match_program;
 
 /// Number of key/value register pairs (32 registers / 2).
 const SLOTS: usize = 16;
@@ -82,23 +84,9 @@ impl KvStore {
     /// any. Emits the real microop sequence (bit-parallel search + tag
     /// fold) and charges its cycles.
     fn search_slot(&mut self, slot: usize, key: u32) -> Option<usize> {
-        let key_reg = slot * 2;
-        self.csb.execute(&MicroOp::Search {
-            probes: (0..SUBARRAYS_PER_CHAIN)
-                .map(|i| Probe::row(i, key_reg, key >> i & 1 == 1))
-                .collect(),
-            gates: vec![],
-            dest: TagDest::Tags,
-            mode: TagMode::Set,
-        });
-        for i in 1..SUBARRAYS_PER_CHAIN {
-            self.csb.execute(&MicroOp::TagCombine {
-                src: i - 1,
-                dst: i,
-                op: TagMode::And,
-            });
-        }
-        self.lookup_cycles += 1 + (SUBARRAYS_PER_CHAIN as u64 - 1);
+        let program = match_program(slot * 2, key);
+        self.csb.execute_program(&program);
+        self.lookup_cycles += program.len() as u64;
         // Priority-encode the final tags (CP-visible result).
         let geometry = self.csb.geometry();
         for chain in 0..geometry.num_chains() {

@@ -25,6 +25,30 @@ mod kv;
 mod scratchpad;
 mod victim;
 
+use cape_csb::{MicroOp, MicroProgram, Probe, TagDest, TagMode, SUBARRAYS_PER_CHAIN};
+
 pub use kv::{KvError, KvStore};
 pub use scratchpad::Scratchpad;
 pub use victim::VictimCache;
+
+/// The exact-match lookup both keyed modes broadcast as one program: a
+/// bit-parallel search of `key` against vector register `reg` (bit `i`
+/// in subarray `i`), then a tag fold that ANDs the per-bit matches down
+/// the chain, leaving the full-key match in the last subarray's tags.
+/// Each microop costs one cycle, so the lookup costs `len()` cycles.
+fn match_program(reg: usize, key: u32) -> MicroProgram {
+    let search = MicroOp::Search {
+        probes: (0..SUBARRAYS_PER_CHAIN)
+            .map(|i| Probe::row(i, reg, key >> i & 1 == 1))
+            .collect(),
+        gates: vec![],
+        dest: TagDest::Tags,
+        mode: TagMode::Set,
+    };
+    let fold = (1..SUBARRAYS_PER_CHAIN).map(|i| MicroOp::TagCombine {
+        src: i - 1,
+        dst: i,
+        op: TagMode::And,
+    });
+    MicroProgram::new(std::iter::once(search).chain(fold).collect())
+}

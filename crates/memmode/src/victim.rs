@@ -1,7 +1,9 @@
 //! The CSB as a victim cache (Section VII's third mode).
 
-use cape_csb::{Csb, CsbGeometry, MicroOp, Probe, TagDest, TagMode, SUBARRAYS_PER_CHAIN};
+use cape_csb::{Csb, CsbGeometry, SUBARRAYS_PER_CHAIN};
 use std::collections::VecDeque;
+
+use crate::match_program;
 
 /// Words per cache line (64-byte lines).
 const LINE_WORDS: usize = 16;
@@ -66,22 +68,9 @@ impl VictimCache {
 
     /// Searches for the lane holding `block_addr`.
     fn find(&mut self, block_addr: u32) -> Option<usize> {
-        self.csb.execute(&MicroOp::Search {
-            probes: (0..SUBARRAYS_PER_CHAIN)
-                .map(|i| Probe::row(i, TAG_REG, block_addr >> i & 1 == 1))
-                .collect(),
-            gates: vec![],
-            dest: TagDest::Tags,
-            mode: TagMode::Set,
-        });
-        for i in 1..SUBARRAYS_PER_CHAIN {
-            self.csb.execute(&MicroOp::TagCombine {
-                src: i - 1,
-                dst: i,
-                op: TagMode::And,
-            });
-        }
-        self.probe_cycles += SUBARRAYS_PER_CHAIN as u64;
+        let program = match_program(TAG_REG, block_addr);
+        self.csb.execute_program(&program);
+        self.probe_cycles += program.len() as u64;
         let geometry = self.csb.geometry();
         for chain in 0..geometry.num_chains() {
             let tags = self.csb.chain_tags(chain, SUBARRAYS_PER_CHAIN - 1);

@@ -16,9 +16,18 @@
 //! * [`truth_table`] — the symbolic truth-table representation stored in
 //!   each chain controller's truth-table memory (TTM), including the
 //!   packed binary encoding distributed over the command bus.
-//! * [`Sequencer`] — executes a [`VectorOp`] against a
-//!   [`Csb`](cape_csb::Csb), emitting the exact microop sequence the
-//!   hardware would, and returning per-instruction microop statistics.
+//! * [`CompiledOp`] — a [`VectorOp`] lowered to the exact microop
+//!   program the hardware would emit, plus its post-processing step; a
+//!   pure function of the operation and the element width, so the VCU
+//!   caches it.
+//! * [`Sequencer`] — runs a compiled program against a
+//!   [`Csb`](cape_csb::Csb) as one broadcast
+//!   ([`Csb::execute_program`](cape_csb::Csb::execute_program), the
+//!   CSB's only broadcast path) and returns per-instruction microop
+//!   statistics.
+//! * [`fuse_window`] — several compiled operations fused into one
+//!   broadcast program (the VCU caches these too, keyed by
+//!   `cape_vcu::window_fingerprint`).
 //! * [`metrics`] — Table I of the paper (per-instruction truth-table
 //!   entries, active rows, cycle counts and energy), both the published
 //!   values and the values measured from this emulator.
@@ -51,4 +60,4 @@ mod window;
 
 pub use sequencer::{CompiledOp, ExecOutcome, PostProcess, Sequencer, SequencerError};
 pub use vop::{LogicOp, VectorOp, VectorOpKind};
-pub use window::{fuse_window, window_fingerprint};
+pub use window::fuse_window;

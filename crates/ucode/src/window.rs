@@ -23,57 +23,12 @@
 //!
 //! Fused windows are cacheable exactly like single compiled ops: the
 //! program depends only on the `(VectorOp, SEW)` sequence, never on CSB
-//! data, so [`window_fingerprint`] over that sequence is a sound cache
-//! key — SEW-aware, since each op hashes with its own width. The cache
-//! additionally stores the full key sequence and verifies it on hit, so
-//! a 64-bit collision can never serve the wrong super-program.
+//! data, so the VCU's program cache keys them by a fingerprint of that
+//! sequence (`cape_vcu::window_fingerprint`).
 
 use cape_csb::MicroProgram;
 
 use crate::sequencer::{CompiledOp, PostProcess};
-use crate::vop::VectorOp;
-
-/// FNV-1a, the paper-repo-wide fingerprint of choice for small key
-/// streams: no tables, one multiply per byte, and stable across runs
-/// (unlike `std`'s randomized SipHash).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-}
-
-impl std::hash::Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-}
-
-/// Fingerprint of a fusion window: FNV-1a over the `(VectorOp, SEW)`
-/// sequence, in issue order.
-///
-/// Two windows with the same fingerprint lower to the same fused program
-/// (compilation is a pure function of op and width), so the fingerprint
-/// keys the VCU's fused-program cache. Operation *operands* — register
-/// numbers and scalar immediates — are part of the hash, exactly as they
-/// are for the single-op cache key.
-pub fn window_fingerprint(ops: &[(VectorOp, u32)]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = Fnv1a(Fnv1a::OFFSET_BASIS);
-    ops.len().hash(&mut h);
-    for (op, sew) in ops {
-        op.hash(&mut h);
-        sew.hash(&mut h);
-    }
-    h.finish()
-}
 
 /// Compiles several buffered operations into one fused window program.
 ///
@@ -123,6 +78,7 @@ pub fn fuse_window(parts: &[&CompiledOp], reorder: bool) -> CompiledOp {
 mod tests {
     use super::*;
     use crate::sequencer::Sequencer;
+    use crate::vop::VectorOp;
     use cape_csb::{Csb, CsbGeometry};
 
     fn ops() -> Vec<VectorOp> {
@@ -260,22 +216,6 @@ mod tests {
         let mut fused_csb = seeded();
         Sequencer::new(&mut fused_csb).run_program(&fused);
         assert_eq!(baseline.save_registers(), fused_csb.save_registers());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_sequences() {
-        let a: Vec<(VectorOp, u32)> = ops().into_iter().map(|op| (op, 32)).collect();
-        let mut b = a.clone();
-        b.swap(0, 1);
-        let mut c = a.clone();
-        c[0].1 = 16;
-        let truncated = a[..3].to_vec();
-
-        let fa = window_fingerprint(&a);
-        assert_eq!(fa, window_fingerprint(&a), "fingerprint must be stable");
-        assert_ne!(fa, window_fingerprint(&b), "order matters");
-        assert_ne!(fa, window_fingerprint(&c), "SEW matters");
-        assert_ne!(fa, window_fingerprint(&truncated), "length matters");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! instructions compiled into one super-program
 //! ([`fuse_window`](cape_ucode::fuse_window)) and keyed by an FNV-1a
 //! fingerprint over the `(VectorOp, SEW)` sequence
-//! ([`window_fingerprint`](cape_ucode::window_fingerprint)). The
+//! ([`window_fingerprint`]). The
 //! fingerprint is SEW-aware — every op hashes with its own width, so
 //! mixed-SEW windows (a `vsetvli` that changes only the element width is
 //! not a barrier) key distinct super-programs. Because 64 bits of hash
@@ -39,12 +39,31 @@
 //! | modeled CSB cycles/energy | Σ per-op    | Σ per-op (bit-identical ledger) |
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
+use cape_isa::Fnv1a;
 use cape_ucode::{CompiledOp, SequencerError, VectorOp};
 
 /// Cache key: the full decoded operation (register indices *and* scalar
 /// operands — scalar bits specialize the emitted program) plus SEW.
 type Key = (VectorOp, u32);
+
+/// Fingerprint of a fusion window: FNV-1a over the `(VectorOp, SEW)`
+/// sequence, in issue order — the key of the fused-program cache.
+///
+/// Two windows with the same fingerprint lower to the same fused program
+/// (compilation is a pure function of op and width). Operation
+/// *operands* — register numbers and scalar immediates — are part of the
+/// hash, exactly as they are for the single-op cache key.
+pub fn window_fingerprint(ops: &[(VectorOp, u32)]) -> u64 {
+    let mut h = Fnv1a::default();
+    ops.len().hash(&mut h);
+    for (op, sew) in ops {
+        op.hash(&mut h);
+        sew.hash(&mut h);
+    }
+    h.finish()
+}
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -88,7 +107,7 @@ pub struct TenantCacheStats {
 /// An LRU cache of compiled microop programs keyed by `(VectorOp, SEW)`.
 ///
 /// Kept outside [`Vcu`](crate::Vcu) (which stays a `Copy` timing model)
-/// and threaded into [`Vcu::execute_sew_cached`](crate::Vcu) by the owner
+/// and threaded into [`Vcu::execute`](crate::Vcu::execute) by the owner
 /// of the execution loop.
 #[derive(Debug, Clone)]
 pub struct ProgramCache {
@@ -519,7 +538,7 @@ mod tests {
 
     #[test]
     fn window_cache_counts_hits_misses_and_tenants() {
-        use cape_ucode::{fuse_window, window_fingerprint};
+        use cape_ucode::fuse_window;
         let mut cache = ProgramCache::new(8);
         let seq = [(ADD, 32u32), (SUB, 32u32)];
         let fp = window_fingerprint(&seq);
@@ -547,7 +566,7 @@ mod tests {
 
     #[test]
     fn window_evictions_attribute_to_the_building_tenant() {
-        use cape_ucode::{fuse_window, window_fingerprint};
+        use cape_ucode::fuse_window;
         let mut cache = ProgramCache::new(1);
         let a = [(ADD, 32u32), (SUB, 32u32)];
         let b = [(SUB, 32u32), (ADD, 32u32)];
@@ -599,6 +618,25 @@ mod tests {
         assert_eq!(cache.window_lookup(fp, &b).as_ref(), Some(&fused));
         assert!(cache.window_lookup(fp, &a).is_none(), "latest insert wins");
         assert_eq!(cache.window_collisions(), 2);
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_sequences() {
+        let a = [
+            (ADD, 32u32),
+            (SUB, 32),
+            (VectorOp::RedSum { vd: 5, vs: 4 }, 32),
+        ];
+        let mut b = a;
+        b.swap(0, 1);
+        let mut c = a;
+        c[0].1 = 16;
+
+        let fa = window_fingerprint(&a);
+        assert_eq!(fa, window_fingerprint(&a), "fingerprint must be stable");
+        assert_ne!(fa, window_fingerprint(&b), "order matters");
+        assert_ne!(fa, window_fingerprint(&c), "SEW matters");
+        assert_ne!(fa, window_fingerprint(&a[..2]), "length matters");
     }
 
     #[test]

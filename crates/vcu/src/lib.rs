@@ -16,6 +16,15 @@
 //!   applications' scalability in Section VI-E.
 //! * **Reductions** add the reduction-tree drain latency
 //!   (5 pipeline stages at 1,024 chains, Section VI-C).
+//!
+//! [`Vcu::execute`] is the one entry point: it looks the instruction's
+//! compiled program up in a [`ProgramCache`] (compiling on a miss),
+//! broadcasts it with
+//! [`Csb::execute_program`](cape_csb::Csb::execute_program), and
+//! reports malformed operations as a typed [`SequencerError`]. A fusion
+//! window that defers its broadcast charges the same cycles up front
+//! through [`Vcu::plan_cycles`]; fused windows are cached under
+//! [`window_fingerprint`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,10 +36,7 @@ use cape_ucode::metrics::{extension_cycles, paper_row};
 use cape_ucode::{Sequencer, SequencerError, VectorOp};
 use serde::{Deserialize, Serialize};
 
-pub use cache::{ProgramCache, TenantCacheStats};
-
-/// Default operand width CAPE's chains are configured for.
-pub const OPERAND_BITS: u32 = 32;
+pub use cache::{window_fingerprint, ProgramCache, TenantCacheStats};
 
 /// Result of executing one vector instruction through the VCU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,60 +84,21 @@ impl Vcu {
         self.tree_stages
     }
 
-    /// Executes a vector operation on the CSB at the default 32-bit
-    /// element width and returns its modeled cycle cost.
+    /// Executes a vector operation at element width `sew_bits` (SEW = 8,
+    /// 16 or 32; narrow elements walk fewer bit positions, Section V-A)
+    /// and returns its modeled cost.
     ///
-    /// # Panics
-    ///
-    /// Propagates the sequencer's panics for invalid register aliasing.
-    pub fn execute(&self, csb: &mut Csb, op: &VectorOp) -> VcuResult {
-        self.execute_sew(csb, op, OPERAND_BITS)
-    }
-
-    /// Executes a vector operation at the given element width (SEW = 8,
-    /// 16 or 32); narrow elements walk fewer bit positions (Section V-A).
-    ///
-    /// # Panics
-    ///
-    /// Propagates the sequencer's panics for invalid register aliasing or
-    /// an unsupported width.
-    pub fn execute_sew(&self, csb: &mut Csb, op: &VectorOp, sew_bits: u32) -> VcuResult {
-        let outcome = Sequencer::with_width(csb, sew_bits as usize).execute(op);
-        self.finish(op, outcome, sew_bits)
-    }
-
-    /// Executes a vector operation through the program cache: the compiled
-    /// microop program is looked up (compiling on a miss) and broadcast to
-    /// the CSB with one fan-out for the whole program. Bit-identical
-    /// results and cycle model to [`Vcu::execute_sew`]; only the host-side
-    /// throughput differs.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the sequencer's panics for invalid register aliasing or
-    /// an unsupported width.
-    pub fn execute_sew_cached(
-        &self,
-        csb: &mut Csb,
-        op: &VectorOp,
-        sew_bits: u32,
-        cache: &mut ProgramCache,
-    ) -> VcuResult {
-        let compiled = cache.get_or_compile(op, sew_bits);
-        let outcome = Sequencer::with_width(csb, sew_bits as usize).run_program(compiled);
-        self.finish(op, outcome, sew_bits)
-    }
-
-    /// Non-panicking form of [`Vcu::execute_sew_cached`]: malformed
-    /// operations (unsupported SEW, destination aliasing a source) surface
-    /// as a typed [`SequencerError`] and leave the CSB untouched, so a
-    /// long-running host can fail the one bad job and keep serving.
+    /// The compiled microop program is looked up in `cache` (compiling
+    /// on a miss) and broadcast to the CSB with one fan-out for the whole
+    /// program; the timing model is then layered over its statistics.
     ///
     /// # Errors
     ///
-    /// Propagates the [`SequencerError`] from
-    /// [`ProgramCache::try_get_or_compile`].
-    pub fn try_execute_sew_cached(
+    /// Malformed operations (unsupported SEW, destination aliasing a
+    /// source) surface as the [`SequencerError`] from
+    /// [`ProgramCache::try_get_or_compile`] and leave the CSB untouched,
+    /// so a long-running host can fail the one bad job and keep serving.
+    pub fn execute(
         &self,
         csb: &mut Csb,
         op: &VectorOp,
@@ -140,12 +107,16 @@ impl Vcu {
     ) -> Result<VcuResult, SequencerError> {
         let compiled = cache.try_get_or_compile(op, sew_bits)?;
         let outcome = Sequencer::with_width(csb, sew_bits as usize).run_program(compiled);
-        Ok(self.finish(op, outcome, sew_bits))
+        Ok(VcuResult {
+            cycles: self.plan_cycles(op, &outcome.stats, sew_bits),
+            scalar: outcome.scalar,
+            stats: outcome.stats,
+        })
     }
 
     /// Modeled cycle cost of one instruction given its (data-independent)
-    /// microop statistics — exactly what [`Vcu::execute_sew`] would
-    /// charge, without executing anything.
+    /// microop statistics — exactly what [`Vcu::execute`] would charge,
+    /// without executing anything.
     ///
     /// Microop emission never inspects CSB data, so the statistics of a
     /// compiled program
@@ -162,15 +133,6 @@ impl Vcu {
             0
         };
         base + reduction_drain + self.cmd_dist_cycles
-    }
-
-    /// Layers the timing model over a sequencer outcome.
-    fn finish(&self, op: &VectorOp, outcome: cape_ucode::ExecOutcome, sew_bits: u32) -> VcuResult {
-        VcuResult {
-            cycles: self.plan_cycles(op, &outcome.stats, sew_bits),
-            scalar: outcome.scalar,
-            stats: outcome.stats,
-        }
     }
 
     fn uses_reduction_tree(&self, op: &VectorOp) -> bool {
@@ -228,6 +190,22 @@ mod tests {
         csb
     }
 
+    /// Executes `op` at `sew` bits through a fresh program cache.
+    fn run_sew(vcu: &Vcu, csb: &mut Csb, op: VectorOp, sew: u32) -> VcuResult {
+        vcu.execute(csb, &op, sew, &mut ProgramCache::default())
+            .unwrap()
+    }
+
+    fn run(vcu: &Vcu, csb: &mut Csb, op: VectorOp) -> VcuResult {
+        run_sew(vcu, csb, op, 32)
+    }
+
+    const ADD: VectorOp = VectorOp::Add {
+        vd: 3,
+        vs1: 1,
+        vs2: 2,
+    };
+
     #[test]
     fn paper_configuration_overheads() {
         let vcu = Vcu::new(1024);
@@ -242,15 +220,7 @@ mod tests {
     #[test]
     fn vadd_uses_table_one_cycles() {
         let vcu = Vcu::new(1024);
-        let mut csb = csb();
-        let r = vcu.execute(
-            &mut csb,
-            &VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            },
-        );
+        let r = run(&vcu, &mut csb(), ADD);
         // 8n+2 = 258 plus command distribution.
         assert_eq!(r.cycles, 258 + vcu.cmd_dist_cycles());
     }
@@ -258,10 +228,10 @@ mod tests {
     #[test]
     fn logic_is_three_cycles_plus_distribution() {
         let vcu = Vcu::new(1024);
-        let mut csb = csb();
-        let r = vcu.execute(
-            &mut csb,
-            &VectorOp::And {
+        let r = run(
+            &vcu,
+            &mut csb(),
+            VectorOp::And {
                 vd: 3,
                 vs1: 1,
                 vs2: 2,
@@ -273,8 +243,7 @@ mod tests {
     #[test]
     fn redsum_adds_tree_drain() {
         let vcu = Vcu::new(1024);
-        let mut csb = csb();
-        let r = vcu.execute(&mut csb, &VectorOp::RedSum { vd: 3, vs: 1 });
+        let r = run(&vcu, &mut csb(), VectorOp::RedSum { vd: 3, vs: 1 });
         assert_eq!(r.cycles, 32 + 5 + vcu.cmd_dist_cycles());
         assert_eq!(r.scalar, Some((0..256).sum::<i64>()));
     }
@@ -285,19 +254,8 @@ mod tests {
         // faster than an element-wise vector addition".
         let vcu = Vcu::new(1024);
         let mut csb = csb();
-        let add = vcu
-            .execute(
-                &mut csb,
-                &VectorOp::Add {
-                    vd: 3,
-                    vs1: 1,
-                    vs2: 2,
-                },
-            )
-            .cycles;
-        let red = vcu
-            .execute(&mut csb, &VectorOp::RedSum { vd: 4, vs: 1 })
-            .cycles;
+        let add = run(&vcu, &mut csb, ADD).cycles;
+        let red = run(&vcu, &mut csb, VectorOp::RedSum { vd: 4, vs: 1 }).cycles;
         let ratio = add as f64 / red as f64;
         assert!((4.0..9.0).contains(&ratio), "ratio {ratio}");
     }
@@ -307,41 +265,36 @@ mod tests {
         let vcu = Vcu::new(1024);
         let mut csb = csb();
         // Adding zero specializes away most truth-table entries.
-        let r0 = vcu.execute(
+        let r0 = run(
+            &vcu,
             &mut csb,
-            &VectorOp::AddScalar {
+            VectorOp::AddScalar {
                 vd: 3,
                 vs1: 1,
                 rs: 0,
             },
         );
-        let r1 = vcu.execute(
+        let r1 = run(
+            &vcu,
             &mut csb,
-            &VectorOp::AddScalar {
+            VectorOp::AddScalar {
                 vd: 3,
                 vs1: 1,
                 rs: u32::MAX,
             },
         );
         assert!(r0.cycles < r1.cycles, "rs=0 must be cheaper than rs=-1");
-        let vv = vcu.execute(
-            &mut csb,
-            &VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            },
-        );
+        let vv = run(&vcu, &mut csb, ADD);
         assert!(r1.cycles <= vv.cycles + vcu.cmd_dist_cycles());
     }
 
     #[test]
     fn mul_is_quadratic() {
         let vcu = Vcu::new(1024);
-        let mut csb = csb();
-        let r = vcu.execute(
-            &mut csb,
-            &VectorOp::Mul {
+        let r = run(
+            &vcu,
+            &mut csb(),
+            VectorOp::Mul {
                 vd: 3,
                 vs1: 1,
                 vs2: 2,
@@ -356,18 +309,11 @@ mod tests {
     fn narrow_widths_scale_table_one_cycles() {
         let vcu = Vcu::new(1024);
         let mut csb = csb();
-        let r8 = vcu.execute_sew(
+        let r8 = run_sew(&vcu, &mut csb, ADD, 8);
+        let r32 = run_sew(
+            &vcu,
             &mut csb,
-            &VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            },
-            8,
-        );
-        let r32 = vcu.execute_sew(
-            &mut csb,
-            &VectorOp::Add {
+            VectorOp::Add {
                 vd: 4,
                 vs1: 1,
                 vs2: 2,
@@ -380,59 +326,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_path_matches_uncached_exactly() {
-        let vcu = Vcu::new(64);
-        let mut cache = ProgramCache::default();
-        let ops = [
-            VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            },
-            VectorOp::MseqScalar {
-                vd: 4,
-                vs1: 1,
-                rs: 7,
-            },
-            VectorOp::RedSum { vd: 5, vs: 1 },
-            VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            }, // repeat: cache hit
-        ];
-        for sew in [8u32, 16, 32] {
-            let mut plain = Csb::new(CsbGeometry::new(64));
-            let mut cached = Csb::new(CsbGeometry::new(64));
-            for csb in [&mut plain, &mut cached] {
-                let a: Vec<u32> = (0..2048).map(|i| i * 3 + 1).collect();
-                csb.write_vector(1, &a);
-                csb.write_vector(2, &a);
-                csb.set_active_window(5, 1500);
-            }
-            for op in &ops {
-                let want = vcu.execute_sew(&mut plain, op, sew);
-                let got = vcu.execute_sew_cached(&mut cached, op, sew, &mut cache);
-                assert_eq!(got, want, "{op:?} at sew {sew}");
-            }
-            assert_eq!(plain.read_vector(3, 2048), cached.read_vector(3, 2048));
-            assert_eq!(plain.read_vector(4, 2048), cached.read_vector(4, 2048));
-            assert_eq!(plain.read_vector(5, 2048), cached.read_vector(5, 2048));
-        }
-        assert_eq!(cache.hits(), 3, "one repeated op per SEW");
-        assert_eq!(cache.misses(), 9);
-    }
-
-    #[test]
     fn plan_cycles_match_executed_cycles_from_static_stats() {
         use cape_ucode::CompiledOp;
         let vcu = Vcu::new(1024);
         let ops = [
-            VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            },
+            ADD,
             VectorOp::AddScalar {
                 vd: 4,
                 vs1: 1,
@@ -446,12 +344,11 @@ mod tests {
             },
         ];
         for sew in [8u32, 16, 32] {
-            for op in &ops {
-                let static_stats = CompiledOp::compile(op, sew as usize).program().stats();
-                let mut csb = csb();
-                let executed = vcu.execute_sew(&mut csb, op, sew);
+            for op in ops {
+                let static_stats = CompiledOp::compile(&op, sew as usize).program().stats();
+                let executed = run_sew(&vcu, &mut csb(), op, sew);
                 assert_eq!(
-                    vcu.plan_cycles(op, &static_stats, sew),
+                    vcu.plan_cycles(&op, &static_stats, sew),
                     executed.cycles,
                     "{op:?} at sew {sew}"
                 );
@@ -469,7 +366,7 @@ mod tests {
         csb.set_active_window(0, 3);
         let before = csb.read_vector(1, 3);
         let err = vcu
-            .try_execute_sew_cached(
+            .execute(
                 &mut csb,
                 &VectorOp::Mul {
                     vd: 1,
@@ -490,7 +387,7 @@ mod tests {
         assert_eq!(csb.read_vector(1, 3), before, "CSB must be untouched");
         // The good path through the same API still works.
         let ok = vcu
-            .try_execute_sew_cached(
+            .execute(
                 &mut csb,
                 &VectorOp::AddScalar {
                     vd: 2,
@@ -511,9 +408,10 @@ mod tests {
         let mut csb = Csb::new(CsbGeometry::new(8));
         csb.write_vector(1, &[3, 5, 7]);
         csb.set_active_window(0, 3);
-        vcu.execute(
+        run(
+            &vcu,
             &mut csb,
-            &VectorOp::AddScalar {
+            VectorOp::AddScalar {
                 vd: 2,
                 vs1: 1,
                 rs: 10,

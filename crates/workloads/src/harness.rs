@@ -62,27 +62,3 @@ pub fn run_cape(workload: &dyn Workload, config: &CapeConfig) -> CapeRun {
         digest: workload.digest(&mem),
     }
 }
-
-/// FNV-1a digest over a word sequence — the common output checksum.
-pub(crate) fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_is_order_sensitive_and_stable() {
-        assert_eq!(fnv1a([1, 2, 3]), fnv1a([1, 2, 3]));
-        assert_ne!(fnv1a([1, 2, 3]), fnv1a([3, 2, 1]));
-        assert_ne!(fnv1a([]), fnv1a([0]));
-    }
-}

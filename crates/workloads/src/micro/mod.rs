@@ -9,11 +9,11 @@
 //!   the Amdahl pattern the Roofline discussion highlights.
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{Program, Reg, VReg};
+use cape_isa::{fnv1a_words, Program, Reg, VReg};
 use cape_mem::MainMemory;
 
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 const SRC1: i64 = 0x0001_0000;
 const SRC2: i64 = 0x0100_0000;
@@ -64,7 +64,7 @@ impl Workload for Vvadd {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(DST as u64, self.n))
+        fnv1a_words(mem.read_u32_slice(DST as u64, self.n))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -82,7 +82,7 @@ impl Workload for Vvadd {
         }
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(out),
+            digest: fnv1a_words(out),
             simd: SimdProfile {
                 vec_ops: self.n as u64,
                 ..Default::default()
@@ -132,7 +132,7 @@ impl Workload for DotProd {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a([mem.read_u32(OUT as u64)])
+        fnv1a_words([mem.read_u32(OUT as u64)])
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -151,7 +151,7 @@ impl Workload for DotProd {
         core.store(OUT as u64);
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a([acc]),
+            digest: fnv1a_words([acc]),
             simd: SimdProfile {
                 vec_mul_ops: self.n as u64,
                 vec_red_ops: self.n as u64,
@@ -193,7 +193,7 @@ impl Workload for Memcpy {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(DST as u64, self.n))
+        fnv1a_words(mem.read_u32_slice(DST as u64, self.n))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -206,7 +206,7 @@ impl Workload for Memcpy {
         }
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(a),
+            digest: fnv1a_words(a),
             simd: SimdProfile {
                 vec_ops: self.n as u64,
                 ..Default::default()
@@ -255,7 +255,7 @@ impl Workload for SearchCount {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a([mem.read_u32(OUT as u64)])
+        fnv1a_words([mem.read_u32(OUT as u64)])
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -273,7 +273,7 @@ impl Workload for SearchCount {
         core.store(OUT as u64);
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a([count]),
+            digest: fnv1a_words([count]),
             simd: SimdProfile {
                 vec_ops: self.n as u64,
                 vec_red_ops: self.n as u64,
@@ -355,7 +355,7 @@ impl Workload for IdxSearch {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, self.keys))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, self.keys))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -381,7 +381,7 @@ impl Workload for IdxSearch {
         }
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(out),
+            digest: fnv1a_words(out),
             simd: SimdProfile {
                 vec_ops: scanned,
                 scalar_ops: keys.len() as u64 * 4,

@@ -6,12 +6,12 @@
 //! this out explicitly, reporting a 13x win for exactly this trick).
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{Program, Reg, VReg};
+use cape_isa::{fnv1a_words, Program, Reg, VReg};
 use cape_mem::MainMemory;
 
 use super::map::{OUT, SRC1};
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 const BUCKETS: usize = 256;
 
@@ -66,7 +66,7 @@ impl Workload for Histogram {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, BUCKETS))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, BUCKETS))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -83,7 +83,7 @@ impl Workload for Histogram {
         }
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(hist),
+            digest: fnv1a_words(hist),
             // The table update has a loop-carried dependence per bucket;
             // SIMD helps only the value compute, so most work is scalar.
             simd: SimdProfile {

@@ -11,12 +11,12 @@
 //! CAPE131k cliff behind kmeans' 426x outlier in Fig. 11).
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{AluOp, Program, Reg, VAluOp, VReg};
+use cape_isa::{fnv1a_words, AluOp, Program, Reg, VAluOp, VReg};
 use cape_mem::MainMemory;
 
 use super::map::{ACC, AUX, OUT, SRC1, SRC2};
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 /// K-means over `n` points, `k` clusters, a fixed number of iterations.
 #[derive(Debug, Clone, Copy)]
@@ -243,7 +243,7 @@ impl Workload for Kmeans {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, self.out_words()))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, self.out_words()))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -297,7 +297,7 @@ impl Workload for Kmeans {
         let point_iters = (n * k * self.iters) as u64;
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(out),
+            digest: fnv1a_words(out),
             simd: SimdProfile {
                 vec_ops: 5 * point_iters,
                 vec_mul_ops: 2 * point_iters,

@@ -5,12 +5,12 @@
 //! `vredsum` (Section V-G's "vertical vs. horizontal" discussion).
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{Program, Reg, VReg};
+use cape_isa::{fnv1a_words, Program, Reg, VReg};
 use cape_mem::MainMemory;
 
 use super::map::{OUT, SRC1, SRC2};
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 /// The linear-regression workload over `n` points.
 #[derive(Debug, Clone, Copy)]
@@ -104,7 +104,7 @@ impl Workload for LinearRegression {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, 5))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, 5))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -129,7 +129,7 @@ impl Workload for LinearRegression {
         }
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(Self::outputs([sx, sy, sxx, sxy], self.n as u64)),
+            digest: fnv1a_words(Self::outputs([sx, sy, sxx, sxy], self.n as u64)),
             simd: SimdProfile {
                 vec_ops: 2 * self.n as u64,
                 vec_mul_ops: 2 * self.n as u64,

@@ -6,12 +6,12 @@
 //! produce one output element per row.
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{Program, Reg, VReg};
+use cape_isa::{fnv1a_words, Program, Reg, VReg};
 use cape_mem::MainMemory;
 
 use super::map::{OUT, SRC1, SRC2};
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 /// `n x n` matrix multiply (`C = A x B`), with `B` stored transposed.
 ///
@@ -97,7 +97,7 @@ impl Workload for Matmul {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, self.n * self.n))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, self.n * self.n))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -123,7 +123,7 @@ impl Workload for Matmul {
         let n3 = (n * n * n) as u64;
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(c),
+            digest: fnv1a_words(c),
             simd: SimdProfile {
                 vec_mul_ops: n3,
                 vec_red_ops: n3,

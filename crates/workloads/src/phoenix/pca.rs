@@ -7,12 +7,12 @@
 //! `pca`'s speedup stays flat from CAPE32k to CAPE131k.
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{AluOp, Program, Reg, VReg};
+use cape_isa::{fnv1a_words, AluOp, Program, Reg, VReg};
 use cape_mem::MainMemory;
 
 use super::map::{OUT, SRC1};
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 /// PCA over a `rows x dims` matrix stored column-major.
 #[derive(Debug, Clone, Copy)]
@@ -123,7 +123,7 @@ impl Workload for Pca {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, self.out_words()))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, self.out_words()))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -169,7 +169,7 @@ impl Workload for Pca {
         let pair_rows = (dims * (dims + 1) / 2 * rows) as u64;
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(out),
+            digest: fnv1a_words(out),
             simd: SimdProfile {
                 vec_ops: 2 * pair_rows,
                 vec_mul_ops: pair_rows,

@@ -8,12 +8,12 @@
 //! scaling bottleneck the paper attributes to this application.
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{AluOp, Program, Reg, VReg};
+use cape_isa::{fnv1a_words, AluOp, Program, Reg, VReg};
 use cape_mem::MainMemory;
 
 use super::map::{OUT, SRC1};
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 /// Build a `vocab x docs` membership matrix over a synthetic corpus.
 ///
@@ -99,7 +99,7 @@ impl Workload for ReverseIndex {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, self.vocab * self.docs))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, self.vocab * self.docs))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -120,7 +120,7 @@ impl Workload for ReverseIndex {
         }
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(matrix),
+            digest: fnv1a_words(matrix),
             simd: SimdProfile {
                 vec_ops: corpus.len() as u64,
                 // The index updates serialize on the shared table.

@@ -7,12 +7,12 @@
 //! paper describes for the text workloads.
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{Program, Reg, VReg};
+use cape_isa::{fnv1a_words, Program, Reg, VReg};
 use cape_mem::MainMemory;
 
 use super::map::{AUX, OUT, SRC1};
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 /// Search `needles` keys over a text of `n` tokens; report per needle
 /// its occurrence count and first position (or -1).
@@ -111,7 +111,7 @@ impl Workload for StringMatch {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, 2 * self.needles))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, 2 * self.needles))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -141,7 +141,7 @@ impl Workload for StringMatch {
         }
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(out),
+            digest: fnv1a_words(out),
             simd: SimdProfile {
                 vec_ops: (text.len() * keys.len()) as u64,
                 vec_red_ops: (text.len() * keys.len()) as u64,

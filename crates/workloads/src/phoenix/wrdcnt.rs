@@ -7,12 +7,12 @@
 //! gold: one bulk search plus a tree popcount per (strip, word).
 
 use cape_baseline::{OooCore, SimdProfile};
-use cape_isa::{Program, Reg, VReg};
+use cape_isa::{fnv1a_words, Program, Reg, VReg};
 use cape_mem::MainMemory;
 
 use super::map::{OUT, SRC1};
 use crate::gen;
-use crate::harness::{fnv1a, BaselineRun, Workload};
+use crate::harness::{BaselineRun, Workload};
 
 /// Count the `top` most-frequent word ids in a stream of `n` tokens.
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +99,7 @@ impl Workload for WordCount {
     }
 
     fn digest(&self, mem: &MainMemory) -> u64 {
-        fnv1a(mem.read_u32_slice(OUT as u64, self.top + 1))
+        fnv1a_words(mem.read_u32_slice(OUT as u64, self.top + 1))
     }
 
     fn run_baseline(&self) -> BaselineRun {
@@ -121,7 +121,7 @@ impl Workload for WordCount {
         out.push(checksum);
         BaselineRun {
             report: core.finish(),
-            digest: fnv1a(out),
+            digest: fnv1a_words(out),
             simd: SimdProfile {
                 vec_ops: self.n as u64,
                 vec_red_ops: self.n as u64,

@@ -1,232 +1,32 @@
-//! Differential tests for the block-SoA kernel layer: the block-backed
-//! broadcast path inside [`Csb`] must be bit-identical to the scalar
-//! [`Chain`] reference model — same reduction sums, same register file,
-//! same tags/accumulators/metadata — for every vector operation, every
-//! SEW, and masked/tail windows, and a `save_registers` /
-//! `restore_registers` context switch through the block layout must
-//! round-trip bit-exactly.
+//! Differential tests for the CSB's one broadcast path: the block-backed
+//! [`Csb::execute_program`] must be bit-identical to the scalar [`Chain`]
+//! reference model ([`reference_sweep`]) — same reduction sums, same
+//! register file, same tags/accumulators/metadata, and exactly the
+//! program's static microop statistics — for every vector operation,
+//! every SEW, masked/tail windows and the worker pool, and a
+//! `save_registers` / `restore_registers` context switch through the
+//! block layout must round-trip bit-exactly.
 
-use cape_csb::{Chain, Csb, CsbGeometry, MicroOp, MicroProgram};
-use cape_ucode::{CompiledOp, LogicOp, VectorOp};
+use cape_csb::{reference_sweep, Chain, Csb, CsbGeometry};
+use cape_integration::{all_ops, seed_registers};
+use cape_ucode::{CompiledOp, VectorOp};
 
-/// Every operation shape the sequencer accepts, with registers chosen to
-/// satisfy the aliasing rules (vd=3, vs1=1, vs2=2, mask v0) and scalars
-/// covering zero, small, sign-bit and all-ones specializations.
-fn all_ops() -> Vec<VectorOp> {
-    let mut ops = vec![
-        VectorOp::Add {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::Add {
-            vd: 1,
-            vs1: 1,
-            vs2: 2,
-        }, // vd aliases vs1
-        VectorOp::Add {
-            vd: 2,
-            vs1: 1,
-            vs2: 2,
-        }, // vd aliases vs2
-        VectorOp::Sub {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::Sub {
-            vd: 2,
-            vs1: 1,
-            vs2: 2,
-        }, // vd aliases the subtrahend
-        VectorOp::Mul {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::And {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::Or {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::Xor {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::Mseq {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::Msne {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::Mslt {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-            signed: false,
-        },
-        VectorOp::Mslt {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-            signed: true,
-        },
-        VectorOp::MinMax {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-            max: false,
-            signed: false,
-        },
-        VectorOp::MinMax {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-            max: true,
-            signed: true,
-        },
-        VectorOp::Macc {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::Mv { vd: 3, vs: 1 },
-        VectorOp::Merge {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::RedSum { vd: 3, vs: 1 },
-        VectorOp::Cpop { vs: 4 },
-        VectorOp::First { vs: 4 },
-        VectorOp::Vid { vd: 3 },
-        VectorOp::Increment { vd: 3 },
-    ];
-    for rs in [0u32, 1, 0x7F, 0x8000_0001, u32::MAX] {
-        ops.extend([
-            VectorOp::AddScalar { vd: 3, vs1: 1, rs },
-            VectorOp::SubScalar { vd: 3, vs1: 1, rs },
-            VectorOp::RsubScalar { vd: 3, vs1: 1, rs },
-            VectorOp::MulScalar { vd: 3, vs1: 1, rs },
-            VectorOp::MseqScalar { vd: 3, vs1: 1, rs },
-            VectorOp::MsneScalar { vd: 3, vs1: 1, rs },
-            VectorOp::MsltScalar {
-                vd: 3,
-                vs1: 1,
-                rs,
-                signed: false,
-            },
-            VectorOp::MsltScalar {
-                vd: 3,
-                vs1: 1,
-                rs,
-                signed: true,
-            },
-            VectorOp::MinMaxScalar {
-                vd: 3,
-                vs1: 1,
-                rs,
-                max: false,
-                signed: true,
-            },
-            VectorOp::MinMaxScalar {
-                vd: 3,
-                vs1: 1,
-                rs,
-                max: true,
-                signed: false,
-            },
-            VectorOp::LogicScalar {
-                op: LogicOp::And,
-                vd: 3,
-                vs1: 1,
-                rs,
-            },
-            VectorOp::LogicScalar {
-                op: LogicOp::Or,
-                vd: 3,
-                vs1: 1,
-                rs,
-            },
-            VectorOp::LogicScalar {
-                op: LogicOp::Xor,
-                vd: 3,
-                vs1: 1,
-                rs,
-            },
-            VectorOp::Broadcast { vd: 3, rs },
-        ]);
-    }
-    for sh in [0u32, 1, 7, 31, 35] {
-        ops.extend([
-            VectorOp::ShiftLeft { vd: 3, vs: 1, sh },
-            VectorOp::ShiftRight { vd: 3, vs: 1, sh },
-            VectorOp::ShiftRightArith { vd: 3, vs: 1, sh },
-        ]);
-    }
-    ops
-}
-
-/// A CSB with deterministic pseudorandom contents in the source
-/// registers, a mask in v0, and a sparse bit pattern in v4 (for
-/// `vfirst`/`vcpop`).
+/// A CSB with the shared deterministic register seeding.
 fn seeded_csb(chains: usize) -> Csb {
     let mut csb = Csb::new(CsbGeometry::new(chains));
-    let n = csb.max_vl();
-    let mut state = 0x9E37_79B9_u32;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 17;
-        state ^= state << 5;
-        state
-    };
-    for reg in [0usize, 1, 2, 3] {
-        let vals: Vec<u32> = (0..n).map(|_| next()).collect();
-        csb.write_vector(reg, &vals);
-    }
-    let sparse: Vec<u32> = (0..n).map(|e| u32::from(e % 97 == 41)).collect();
-    csb.write_vector(4, &sparse);
+    seed_registers(&mut csb);
     csb
-}
-
-/// Runs a microop program over scalar reference [`Chain`]s, exactly as
-/// the pre-block broadcast loop did: chain by chain, op by op, skipping
-/// power-gated (fully-masked) chains, summing `ReduceTags` popcounts.
-fn reference_program(chains: &mut [Chain], windows: &[u32], program: &MicroProgram) -> Vec<u64> {
-    let mut sums = vec![0u64; program.reduce_count()];
-    for (chain, &window) in chains.iter_mut().zip(windows) {
-        if window == 0 {
-            continue; // power-gated chain: never executes anything
-        }
-        let mut k = 0;
-        for op in program.ops() {
-            let r = chain.execute(op, window);
-            if matches!(op, MicroOp::ReduceTags { .. }) {
-                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
-                k += 1;
-            }
-        }
-    }
-    sums
 }
 
 /// Runs `op`'s compiled microop program through the block-backed CSB and
 /// through scalar reference chains seeded with identical state, then
 /// asserts bit-exact agreement of reduction sums and complete chain state
-/// (registers, metadata rows, tags, accumulators).
+/// (registers, metadata rows, tags, accumulators), and that the broadcast
+/// recorded exactly the program's static microop statistics.
 fn assert_block_matches_scalar(op: &VectorOp, sew: usize, vstart: usize, vl: usize, chains: usize) {
     let mut csb = seeded_csb(chains);
     csb.set_active_window(vstart, vl);
+    csb.reset_stats();
 
     // Materialize the scalar reference of the identical starting state.
     let mut reference: Vec<Chain> = (0..chains).map(|c| csb.chain(c)).collect();
@@ -234,10 +34,15 @@ fn assert_block_matches_scalar(op: &VectorOp, sew: usize, vstart: usize, vl: usi
 
     let compiled = CompiledOp::compile(op, sew);
     let block_sums = csb.execute_program(compiled.program());
-    let ref_sums = reference_program(&mut reference, &windows, compiled.program());
+    let ref_sums = reference_sweep(&mut reference, &windows, compiled.program().ops());
 
     let ctx = format!("{op:?} sew={sew} window={vstart}..{vl} chains={chains}");
     assert_eq!(block_sums, ref_sums, "reduction sums: {ctx}");
+    assert_eq!(
+        csb.stats(),
+        compiled.program().stats(),
+        "microop stats: {ctx}"
+    );
     for (c, want) in reference.iter().enumerate() {
         assert_eq!(&csb.chain(c), want, "chain {c}: {ctx}");
     }
@@ -286,6 +91,12 @@ fn representative_ops_match_scalar_chains_through_the_worker_pool() {
             vd: 3,
             vs1: 1,
             rs: 0x7F,
+        },
+        VectorOp::Cpop { vs: 4 },
+        VectorOp::Merge {
+            vd: 3,
+            vs1: 1,
+            vs2: 2,
         },
     ];
     for op in &ops {
